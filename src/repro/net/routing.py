@@ -6,10 +6,9 @@ incoming interface of an (S,G) entry is the interface the router uses
 to reach S by unicast (paper §3.1) — and (b) the routing metric carried
 in Assert messages.
 
-The reproduction computes hop-count shortest paths over the
-router/link topology with a BFS per destination link (all links have
-unit cost; ties are broken deterministically by link then router name so
-every run builds the same trees).
+Routes are hop-count shortest paths, one BFS per destination link
+(unit link cost; ties broken by link then router name, so every run
+builds the same trees).
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ __all__ = ["RouteEntry", "RoutingTable", "compute_router_fibs"]
 
 @dataclass
 class RouteEntry:
-    """One FIB entry: how to reach ``prefix``.
+    """One FIB entry: how to reach ``prefix`` (``next_hop`` None: on-link).
 
-    ``next_hop`` is None for on-link (directly connected) prefixes.
-    ``metric`` is the hop count (number of links a packet crosses to
-    reach the destination link, counting that link) — the metric that
-    PIM-DM Assert messages compare.
+    ``metric`` is the hop count (links crossed to reach the destination
+    link, counting it) — the metric that PIM-DM Assert messages compare.
     """
 
     prefix: Prefix
@@ -48,116 +45,105 @@ class RouteEntry:
 
 
 class RoutingTable:
-    """Per-node FIB with longest-prefix-match lookup."""
+    """Per-node FIB with longest-prefix-match lookup.
+
+    Entries live in one dict per prefix length, keyed by network int.
+    A lookup masks the destination once per length present, longest
+    first; every generated link is a /64, so that is one dict probe.
+    """
 
     def __init__(self) -> None:
-        self._entries: Dict[Prefix, RouteEntry] = {}
+        #: prefix mask -> {network int -> entry}, longest prefix first
+        self._tables: Dict[int, Dict[int, RouteEntry]] = {}
 
     def install(self, entry: RouteEntry) -> None:
-        self._entries[entry.prefix] = entry
+        prefix = entry.prefix
+        table = self._tables.get(prefix.mask)
+        if table is None:
+            table = self._tables[prefix.mask] = {}
+            self._tables = dict(sorted(self._tables.items(), reverse=True))
+        table[prefix.network] = entry
 
     def remove(self, prefix: Prefix) -> None:
-        self._entries.pop(Prefix(prefix), None)
+        table = self._tables.get(prefix.mask)
+        if table is not None:
+            table.pop(prefix.network, None)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._tables.clear()
 
     def lookup(self, dst: Address) -> Optional[RouteEntry]:
         """Longest-prefix-match for ``dst``."""
-        dst = Address(dst)
-        best: Optional[RouteEntry] = None
-        for entry in self._entries.values():
-            if entry.prefix.contains(dst):
-                if best is None or entry.prefix.prefix_len > best.prefix.prefix_len:
-                    best = entry
-        return best
+        value = dst.as_int()
+        for mask, table in self._tables.items():
+            entry = table.get(value & mask)
+            if entry is not None:
+                return entry
+        return None
 
     def entries(self) -> List[RouteEntry]:
-        return list(self._entries.values())
+        return [entry for table in self._tables.values() for entry in table.values()]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(table) for table in self._tables.values())
 
 
-def compute_router_fibs(
-    routers: List["Node"], links: List["Link"]
-) -> Dict[Tuple[str, str], RouteEntry]:
+def compute_router_fibs(routers: List["Node"], links: List["Link"]) -> List[RouteEntry]:
     """Compute and install shortest-path FIBs on every router.
 
     Runs one BFS per destination link over the bipartite router/link
-    graph.  Returns the installed entries keyed by
-    ``(router_name, str(prefix))`` for inspection by tests.
+    graph.  Returns the installed entries.
     """
-    installed: Dict[Tuple[str, str], RouteEntry] = {}
-
-    # Adjacency: for each router, its (link, iface) attachments.
-    attachments: Dict[str, List[Tuple["Link", "Interface"]]] = {}
+    # A router's first interface on each link it attaches to, and the
+    # router/link adjacency by name in both directions, sorted.
+    iface_on: Dict[Tuple[str, str], "Interface"] = {}
     for router in routers:
-        pairs = [
-            (iface.link, iface) for iface in router.interfaces if iface.link is not None
-        ]
-        attachments[router.name] = sorted(pairs, key=lambda p: p[0].name)
+        for iface in router.interfaces:
+            if iface.link is not None:
+                iface_on.setdefault((router.name, iface.link.name), iface)
+    links_of: Dict[str, List[str]] = {router.name: [] for router in routers}
+    routers_on: Dict[str, List[str]] = {link.name: [] for link in links}
+    for name, link_name in sorted(iface_on):
+        links_of[name].append(link_name)
+        routers_on.setdefault(link_name, []).append(name)
+    routers_by_name = {router.name: router for router in routers}
+    next_hops: Dict[Tuple[str, str], Address] = {}
 
-    routers_by_name = {r.name: r for r in routers}
-    router_names_on_link: Dict[str, List[str]] = {}
-    for link in links:
-        names = sorted(
-            iface.node.name
-            for iface in link.interfaces
-            if iface.node.name in routers_by_name
-        )
-        router_names_on_link[link.name] = names
-
+    installed: List[RouteEntry] = []
     for dest_link in links:
-        # BFS over routers; dist = links crossed to deliver onto dest_link.
-        dist: Dict[str, int] = {}
-        via: Dict[str, Tuple["Interface", Optional[Address]]] = {}
-        frontier: List[str] = []
-        for name in router_names_on_link[dest_link.name]:
-            router = routers_by_name[name]
-            iface = next(i for i in router.interfaces if i.link is dest_link)
-            dist[name] = 1
-            via[name] = (iface, None)
-            frontier.append(name)
-        frontier.sort()
-
+        # BFS over routers; metric = links crossed to deliver onto dest_link.
+        frontier = routers_on[dest_link.name]
+        via = {name: (iface_on[(name, dest_link.name)], None) for name in frontier}
+        metric = 1
         while frontier:
             next_frontier: List[str] = []
             for name in frontier:
-                router = routers_by_name[name]
-                for link, _iface in attachments[name]:
-                    if link is dest_link:
+                iface, next_hop = via[name]
+                entry = RouteEntry(dest_link.prefix, iface, next_hop, metric)
+                routers_by_name[name].routing.install(entry)
+                installed.append(entry)
+                for link_name in links_of[name]:
+                    if link_name == dest_link.name:
                         continue
-                    for neigh_name in router_names_on_link[link.name]:
-                        if neigh_name == name or neigh_name in dist:
+                    for neighbor in routers_on[link_name]:
+                        if neighbor in via:
                             continue
-                        neighbor = routers_by_name[neigh_name]
-                        out_iface = next(
-                            i for i in neighbor.interfaces if i.link is link
-                        )
-                        # Address of the already-reached router on the
-                        # shared link = our next hop toward dest_link.
-                        next_hop = _router_address_on_link(router, link)
-                        dist[neigh_name] = dist[name] + 1
-                        via[neigh_name] = (out_iface, next_hop)
-                        next_frontier.append(neigh_name)
-            frontier = sorted(set(next_frontier))
-
-        for name, metric in dist.items():
-            iface, next_hop = via[name]
-            entry = RouteEntry(
-                prefix=dest_link.prefix, iface=iface, next_hop=next_hop, metric=metric
-            )
-            routers_by_name[name].routing.install(entry)
-            installed[(name, str(dest_link.prefix))] = entry
-
+                        # Our address on the shared link is the neighbor's
+                        # next hop toward dest_link.
+                        hop = next_hops.get((name, link_name))
+                        if hop is None:
+                            hop = _global_address(iface_on[(name, link_name)])
+                            next_hops[(name, link_name)] = hop
+                        via[neighbor] = (iface_on[(neighbor, link_name)], hop)
+                        next_frontier.append(neighbor)
+            frontier = sorted(next_frontier)
+            metric += 1
     return installed
 
 
-def _router_address_on_link(router: "Node", link: "Link") -> Address:
-    """The router's global address on ``link`` (used as a next hop)."""
-    iface = next(i for i in router.interfaces if i.link is link)
+def _global_address(iface: "Interface") -> Address:
+    """The interface's global address (used as a next hop)."""
     for addr in iface.addresses:
         if not addr.is_link_local and not addr.is_multicast:
             return addr
-    raise ValueError(f"{router.name} has no global address on {link.name}")
+    raise ValueError(f"{iface.node.name} has no global address on {iface.link.name}")

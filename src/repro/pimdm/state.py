@@ -139,7 +139,6 @@ class SgInterner:
         self._sg_ids: Dict[Tuple[int, int], int] = {}
 
     def intern_address(self, address: Address) -> int:
-        address = Address(address)
         raw = address.as_int()
         ident = self._address_ids.get(raw)
         if ident is None:

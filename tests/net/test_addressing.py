@@ -1,5 +1,8 @@
 """Unit + property tests for IPv6 addressing."""
 
+import ipaddress
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +34,35 @@ class TestAddress:
 
     def test_equality_with_string(self):
         assert Address("ff02::1") == "ff02::1"
+
+    def test_equality_with_garbage_is_false(self):
+        assert not Address("::1") == "not-an-address"
+        assert Address("::1") != "not-an-address"
+
+    def test_equality_with_out_of_range_int_is_false(self):
+        assert not Address("::1") == 2**129
+        assert not Address("::1") == -1
+
+    def test_scoped_address_rejected(self):
+        with pytest.raises(ValueError, match="fe80::1%eth0"):
+            Address("fe80::1%eth0")
+
+    def test_out_of_range_int_rejected(self):
+        with pytest.raises(ValueError):
+            Address(2**128)
+
+    def test_rewrap_is_identity(self):
+        a = Address("2001:db8::7")
+        assert Address(a) is a
+
+    def test_text_memo_one_entry_per_value(self):
+        from repro.net.addressing import _TEXT
+
+        a = Address("2001:db8:77::1")
+        str(a)
+        size = len(_TEXT)
+        assert str(Address(a.as_int())) == "2001:db8:77::1"
+        assert len(_TEXT) == size
 
     def test_hashable(self):
         assert len({Address("::1"), Address("0::1")}) == 1
@@ -130,3 +162,76 @@ class TestWellKnown:
             make_multicast_group(0)
         with pytest.raises(ValueError):
             make_multicast_group(2**32)
+
+
+# ----------------------------------------------------------------------
+# differential: Address / Prefix against the stdlib ipaddress module
+# ----------------------------------------------------------------------
+_ALL_ONES = 2**128 - 1
+_WELL_KNOWN = [
+    "::", "::1", "fe80::", "fe80::1", "febf:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+    "fec0::", "fe7f:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "ff00::", "ff02::1",
+    "ff02::2", "ff02::d", "ff12::1", "ff05::1", "ff1e::1", "feff::",
+    "2001:db8::1", "2001:db8:1::10", "::ffff:10.0.0.1", "1::", "1:0:0:1::",
+    "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+]
+_addresses = st.one_of(
+    st.integers(min_value=0, max_value=_ALL_ONES),
+    st.sampled_from([int(ipaddress.IPv6Address(a)) for a in _WELL_KNOWN]),
+    # values with long zero runs exercise the "::" compression rules
+    st.lists(st.sampled_from([0, 0, 0, 1, 0xFFFF, 0xDB8]), min_size=8, max_size=8).map(
+        lambda groups: sum(g << (16 * i) for i, g in enumerate(groups))
+    ),
+)
+
+
+class TestDifferentialAgainstIpaddress:
+    @given(_addresses)
+    def test_text_predicates_and_wire_format(self, value):
+        ours, ref = Address(value), ipaddress.IPv6Address(value)
+        assert str(ours) == str(ref)
+        assert repr(ours) == f"Address({str(ref)!r})"
+        assert Address(str(ref)) == ours and Address(ref) == ours
+        assert ours.is_multicast == ref.is_multicast
+        assert ours.is_link_local == ref.is_link_local
+        assert ours.is_unspecified == ref.is_unspecified
+        assert ours.is_link_scope_multicast == (ref.is_multicast and ref.packed[1] & 0xF == 2)
+        assert ours.packed() == ref.packed
+        assert Address.from_packed(ref.packed) == ours
+        assert pickle.loads(pickle.dumps(ours)) == ours
+
+    @given(_addresses, _addresses)
+    def test_order_equality_hash(self, a, b):
+        x, y = Address(a), Address(b)
+        rx, ry = ipaddress.IPv6Address(a), ipaddress.IPv6Address(b)
+        assert (x == y) == (rx == ry)
+        assert (x != y) == (rx != ry)
+        assert (x < y) == (rx < ry)
+        assert (x <= y) == (rx <= ry)
+        assert (x > y) == (rx > ry)
+        assert (x >= y) == (rx >= ry)
+        assert (x == str(ry)) == (rx == ry)
+        if x == y:
+            assert hash(x) == hash(y)
+        assert [str(v) for v in sorted([x, y])] == [str(v) for v in sorted([rx, ry])]
+
+    @given(_addresses, st.integers(min_value=0, max_value=128), _addresses)
+    def test_prefix(self, base, length, probe):
+        ref = ipaddress.IPv6Network((base, length), strict=False)
+        ours = Prefix(str(ref))
+        assert str(ours) == str(ref)
+        assert repr(ours) == f"Prefix({str(ref)!r})"
+        assert ours.prefix_len == length
+        assert ours == Prefix(ref) and hash(ours) == hash(Prefix(ref))
+        first, last = int(ref.network_address), int(ref.broadcast_address)
+        for value in (probe, first, last, first - 1, last + 1):
+            if 0 <= value <= _ALL_ONES:
+                expected = ipaddress.IPv6Address(value) in ref
+                assert ours.contains(Address(value)) == expected
+        if ref.num_addresses > 1:
+            assert ours.address_for_host(ref.num_addresses - 1) == Address(last)
+        with pytest.raises(ValueError):
+            ours.address_for_host(ref.num_addresses)
+        clone = pickle.loads(pickle.dumps(ours))
+        assert clone == ours and str(clone) == str(ours)
+        assert clone.contains(Address(first))

@@ -1,7 +1,10 @@
 """Unit tests for FIB computation, verified against networkx."""
 
+import hashlib
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net import Address, Network, Prefix, RouteEntry, RoutingTable
 from repro.pimdm import MulticastRouter
@@ -53,6 +56,81 @@ class TestRoutingTable:
     def test_connected_flag(self):
         e = self._entry("2001:db8:1::/64")
         assert e.connected
+
+
+# ----------------------------------------------------------------------
+# differential: per-length RoutingTable against a linear-scan reference
+# ----------------------------------------------------------------------
+_ANCHORS = [0x20010DB8 << 96, (0x20010DB8 << 96) | (1 << 64) | 5, 0xFF1E << 112, 7]
+_LENGTHS = [0, 1, 16, 32, 48, 63, 64, 65, 127, 128]
+
+
+class _LinearFib:
+    """Reference FIB: ``(network, length) -> entry``, scanned in full."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def lookup(self, value):
+        best, best_len = None, -1
+        for (network, length), entry in self.entries.items():
+            shift = 128 - length
+            if value >> shift == network >> shift and length > best_len:
+                best, best_len = entry, length
+        return best
+
+
+def _prefix(anchor_length):
+    anchor, length = anchor_length
+    network = anchor >> (128 - length) << (128 - length)
+    return network, length
+
+
+_prefixes = st.tuples(st.sampled_from(_ANCHORS), st.sampled_from(_LENGTHS)).map(_prefix)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), _prefixes, st.integers(1, 9)),
+        st.tuples(st.just("remove"), _prefixes, st.just(0)),
+        st.tuples(st.just("clear"), st.just((0, 0)), st.just(0)),
+    ),
+    max_size=30,
+)
+_probes = st.lists(
+    st.one_of(
+        st.sampled_from(_ANCHORS).flatmap(
+            lambda a: st.integers(-2, 2).map(lambda d: min(max(a + d, 0), 2**128 - 1))
+        ),
+        st.integers(0, 2**128 - 1),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestRoutingTableDifferential:
+    @given(_ops, _probes)
+    @settings(max_examples=200)
+    def test_matches_linear_scan(self, ops, probes):
+        class FakeIface:
+            link = None
+
+        table, ref = RoutingTable(), _LinearFib()
+        for op, (network, length), metric in ops:
+            prefix = Prefix(f"{Address(network)}/{length}")
+            if op == "install":
+                entry = RouteEntry(prefix, FakeIface(), None, metric)
+                table.install(entry)
+                ref.entries[(network, length)] = entry
+            elif op == "remove":
+                table.remove(prefix)
+                ref.entries.pop((network, length), None)
+            else:
+                table.clear()
+                ref.entries.clear()
+            assert len(table) == len(ref.entries)
+            assert {id(e) for e in table.entries()} == {id(e) for e in ref.entries.values()}
+            for value in probes + _ANCHORS:
+                assert table.lookup(Address(value)) is ref.lookup(value)
 
 
 class TestFibComputation:
@@ -142,3 +220,30 @@ class TestFibComputation:
             entry = paper.routers[name].routing.lookup(target)
             assert entry.iface.link.name == "L3"
             assert entry.metric == 3
+
+
+#: sha256 over the sorted "router prefix iface next_hop metric" lines of
+#: every router's FIB, as computed by the linear-scan FIB before the
+#: per-length tables.  hier depth 2 / fanout 4 is a tree (20 routers, 21
+#: links); the Waxman graph (30 routers, 134 links) has equal-cost paths,
+#: so it also pins the link-then-router-name tie-breaks.
+FIB_DIGESTS = {
+    "hier": (420, "ff3fc91a039c59f00e86cabd4808d7d299bc19094f6df2e7ed7ec6f5d3ad5402"),
+    "waxman": (4020, "6bc85bfcbba760accc8b98e50e5bc89d07dfd32a00f876d85364f0cd0a97b460"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FIB_DIGESTS))
+def test_generated_fib_digest_pinned(model):
+    from repro.net.topogen import build_network, hierarchical_graph, waxman_graph
+
+    graph = hierarchical_graph(depth=2, fanout=4) if model == "hier" else waxman_graph(n=30, seed=3)
+    topo = build_network(graph)
+    topo.net.build_routes()
+    lines = sorted(
+        f"{r.name} {e.prefix} {e.iface.name} {e.next_hop} {e.metric}"
+        for r in topo.net.routers()
+        for e in r.routing.entries()
+    )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == FIB_DIGESTS[model]
