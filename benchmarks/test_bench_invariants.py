@@ -4,9 +4,10 @@ The runtime protocol invariant oracles (docs/ROBUSTNESS.md) are
 passive trace listeners; arming them must cost < 5% of end-to-end
 runtime on a real experiment.  Measured on the §4.3 receiver-mobility
 row (the Figure 2 scenario measured through
-``repro.core.comparison.receiver_mobility_run``), min of 5 interleaved
-rounds with the monitor attached vs not.  The same runs double as a correctness
-check: zero violations, and byte-identical result rows either way.
+``repro.core.comparison.receiver_mobility_run``), as the median on/off
+time ratio over 7 alternating pairs with the monitor attached vs not.
+The same runs double as a correctness check: zero violations, and
+byte-identical result rows either way.
 """
 
 import json
@@ -17,7 +18,7 @@ from repro.core import LOCAL_MEMBERSHIP
 from repro.core.comparison import receiver_mobility_run
 from repro.invariants import ENV_FLAG
 
-from bench_utils import save_report
+from bench_utils import paired_overhead, save_report
 
 
 def _run_row(checked):
@@ -37,19 +38,11 @@ def _run_row(checked):
 def test_bench_invariant_oracle_overhead():
     """Oracles attached in escalate mode stay within 5% of a bare run."""
     _run_row(checked=False)  # warm-up: imports, allocator, caches
-    off_times, on_times = [], []
-    row_off = row_on = None
-    for _ in range(5):
-        t, row_off = _run_row(checked=False)
-        off_times.append(t)
-        t, row_on = _run_row(checked=True)
-        on_times.append(t)
+    overhead, off, on, row_off, row_on = paired_overhead(_run_row)
     # escalate mode raised nothing, and the oracles perturbed nothing
     assert json.dumps(row_off, sort_keys=True) == json.dumps(
         row_on, sort_keys=True
     )
-    off, on = min(off_times), min(on_times)
-    overhead = on / off - 1.0
     save_report(
         "invariant_oracles",
         "\n".join(
@@ -57,7 +50,7 @@ def test_bench_invariant_oracle_overhead():
                 "EXP-I1: invariant-oracle overhead on the §4.3 "
                 "receiver-mobility row (fig2 scenario, seed 0)",
                 f"oracles off: {off:.3f} s   oracles on: {on:.3f} s   "
-                f"overhead {overhead * 100:+.2f}%",
+                f"overhead {overhead * 100:+.2f}% (median of 7 paired ratios)",
                 "violations: 0 (escalate mode — any breach would raise)",
                 "result rows byte-identical with checking on and off",
             ]

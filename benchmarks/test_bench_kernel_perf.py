@@ -39,7 +39,9 @@ class LegacySimulator(Simulator):
     Faithful to the old hot path: every heap sift comparison runs the
     generated Python ``__lt__`` of the dataclass entry, and cancelled
     entries stay in the heap until popped, so restart-heavy workloads
-    grow the heap without bound.
+    grow the heap without bound.  A timer restart (:meth:`defer`) costs
+    what it did then: the old entry is left behind as a tombstone and a
+    fresh entry is pushed.
     """
 
     def _note_cancel(self) -> None:
@@ -50,11 +52,16 @@ class LegacySimulator(Simulator):
             raise SimulationError(
                 f"cannot schedule at t={time!r}, now is t={self._now!r}"
             )
-        event = Event(time, fn, args, kwargs, label=label)
+        seq = next(self._seq)
+        event = Event(time, fn, args, kwargs, label, seq)
         event._sim = self
-        heapq.heappush(self._heap, _LegacyHeapEntry(time, next(self._seq), event))
+        heapq.heappush(self._heap, _LegacyHeapEntry(time, seq, event))
         self._pending_count += 1
         return event
+
+    def defer(self, event, time):
+        super().defer(event, time)
+        heapq.heappush(self._heap, _LegacyHeapEntry(time, event.seq, event))
 
     def run(self, until=None, max_events=None):
         if self._running:
@@ -64,7 +71,7 @@ class LegacySimulator(Simulator):
         try:
             while self._heap:
                 entry = self._heap[0]
-                if entry.event.cancelled:
+                if entry.event.cancelled or entry.seq != entry.event.seq:
                     heapq.heappop(self._heap)
                     continue
                 if until is not None and entry.time > until:
@@ -85,22 +92,37 @@ class LegacySimulator(Simulator):
             self._running = False
 
 
-def _restart_workload(sim, n, timers=64, sample_every=None, samples=None):
+def _restart_workload(
+    sim, n, timers=64, sample_every=None, samples=None, raw=False
+):
     """The PIM-DM per-packet (S,G) data-timeout pattern.
 
-    Every dispatched tick restarts one of ``timers`` 210 s timers
-    (one ``Event.cancel`` + two ``heappush``), exactly the pattern
-    that leaked cancelled entries in the pre-PR kernel.  With
-    ``sample_every`` (simulated seconds), heap sizes are appended to
-    ``samples`` as the run progresses.
+    Every dispatched tick restarts one of ``timers`` 210 s timers and
+    schedules the next tick.  A :class:`Timer` restart re-keys its
+    event in place; with ``raw=True`` each restart is instead an
+    ``Event.cancel`` plus a fresh ``schedule``, the pattern that leaked
+    cancelled entries in the pre-PR kernel and that compaction bounds.
+    With ``sample_every`` (simulated seconds), ``(heap_size,
+    heap_cancelled)`` pairs are appended to ``samples`` as the run
+    progresses.
     """
-    pool = [Timer(sim, _noop, name=f"sg{i}") for i in range(timers)]
-    for t in pool:
-        t.start(210.0)
+    if raw:
+        pool = [sim.schedule(210.0, _noop) for _ in range(timers)]
+
+        def restart(j):
+            pool[j].cancel()
+            pool[j] = sim.schedule(210.0, _noop)
+    else:
+        pool = [Timer(sim, _noop, name=f"sg{i}") for i in range(timers)]
+        for t in pool:
+            t.start(210.0)
+
+        def restart(j):
+            pool[j].restart(210.0)
     remaining = [n]
 
     def tick(i):
-        pool[i % timers].restart(210.0)
+        restart(i % timers)
         if remaining[0] > 0:
             remaining[0] -= 1
             sim.schedule(0.05, tick, i + 1)
@@ -108,7 +130,7 @@ def _restart_workload(sim, n, timers=64, sample_every=None, samples=None):
     sim.schedule(0.0, tick, 0)
     if sample_every is not None:
         def sample():
-            samples.append(len(sim._heap))
+            samples.append((sim.heap_size, sim.heap_cancelled))
             if sim.events_pending > len(pool):  # ticks still flowing
                 sim.schedule(sample_every, sample)
 
@@ -149,8 +171,10 @@ def test_heap_stays_bounded_over_million_events():
     """10^6-event restart run: the heap must not grow monotonically.
 
     The pre-PR kernel accumulates ~one cancelled tombstone per tick
-    (the heap ends ~10^6 entries deep); with compaction the physical
-    heap stays within a small constant of the ~66 live events.
+    (the heap ends ~10^6 entries deep).  Timer restarts re-key in
+    place, so the heap holds exactly the live timers plus the next
+    tick; the same loop driven by raw cancel + schedule is held within
+    a small constant of the ~66 live events by compaction.
     """
     sim = Simulator()
     samples = []
@@ -159,6 +183,18 @@ def test_heap_stays_bounded_over_million_events():
     _restart_workload(sim, 1_000_000, sample_every=250.0, samples=samples)
     assert sim.events_dispatched > 1_000_000
     assert len(samples) > 50
+    assert all(cancelled == 0 for _, cancelled in samples)
+    assert max(size for size, _ in samples) <= 64 + 1
+    assert sim.heap_cancelled == 0
+
+    sim = Simulator()
+    samples = []
+    _restart_workload(
+        sim, 1_000_000, sample_every=250.0, samples=samples, raw=True
+    )
+    assert sim.events_dispatched > 1_000_000
+    assert len(samples) > 50
+    samples = [size for size, _ in samples]
     peak = max(samples)
     # Default compaction trigger is 1024 tombstones; live events are
     # ~66.  Anything monotone would blow straight past this bound.

@@ -140,10 +140,11 @@ def _noop() -> None:
 def _phase_timer_restart(n: int, timers: int = 64) -> Dict[str, Any]:
     """The PIM-DM per-packet data-timeout pattern: one restart per tick.
 
-    Every dispatched tick cancels a pending 210 s timer event and pushes
-    two new entries (the restarted timer + the next tick), so a kernel
-    without compaction accumulates one cancelled tombstone per event and
-    pays logarithmically growing ``heappush`` cost.
+    Every dispatched tick restarts a pending 210 s timer and pushes the
+    next tick.  The restart re-keys the timer's event in place
+    (``Simulator.defer``), so the heap holds one entry per timer plus
+    the tick; a kernel that restarted by cancel + push would instead
+    accumulate one tombstone per event and rely on compaction.
     """
     sim = Simulator()
     pool = [Timer(sim, _noop, name=f"sg{i}") for i in range(timers)]

@@ -48,6 +48,7 @@ wall-clock histogram) and to an optional
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -85,15 +86,21 @@ def _execute_cell(
     Never raises: a failing task body returns ``(None, elapsed,
     traceback_text)`` so one bad cell cannot abort the campaign (the
     supervisor decides whether to retry or quarantine it).
+
+    The cell's cyclic garbage (a simulated network is one large
+    reference cycle) is collected before returning, so it cannot
+    survive into the worker's next cell and raise its peak RSS.
     """
     started = time.perf_counter()
     try:
-        result = get_task(task)(**params)
-        return _canonical_result(result), time.perf_counter() - started, None
+        result = _canonical_result(get_task(task)(**params))
+        outcome = result, time.perf_counter() - started, None
     except BaseException as exc:  # noqa: BLE001 - must survive anything
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
-        return None, time.perf_counter() - started, traceback.format_exc()
+        outcome = None, time.perf_counter() - started, traceback.format_exc()
+    gc.collect()
+    return outcome
 
 
 def resolve_cell(cell: CampaignCell, master_seed: int) -> CampaignCell:

@@ -56,6 +56,9 @@ class Node:
         self._iface_uid = itertools.count(1)
         self.routing = RoutingTable()
         self._message_handlers: Dict[Type[Message], List[MessageHandler]] = {}
+        #: payload type -> every handler it matches, in dispatch order;
+        #: filled on first dispatch, dropped on registration
+        self._handlers_by_type: Dict[type, List[MessageHandler]] = {}
         self._option_handlers: Dict[Type[DestinationOption], List[OptionHandler]] = {}
         self._tunnel_handlers: List[TunnelHandler] = []
         #: counters exposed for the system-load comparison (§4.3)
@@ -142,6 +145,7 @@ class Node:
         self, message_type: Type[Message], handler: MessageHandler
     ) -> None:
         self._message_handlers.setdefault(message_type, []).append(handler)
+        self._handlers_by_type = {}
 
     def register_option_handler(
         self, option_type: Type[DestinationOption], handler: OptionHandler
@@ -269,17 +273,24 @@ class Node:
         self.dispatch_message(packet, iface)
 
     def dispatch_message(self, packet: Ipv6Packet, iface: Interface) -> bool:
-        """Invoke handlers registered for the payload's message type."""
+        """Invoke handlers registered for the payload's message type.
+
+        Handlers run grouped by registered type, in the order each type
+        was first registered, and in registration order within a type.
+        """
         message = packet.payload
-        if not isinstance(message, Message):
-            return False
-        handled = False
-        for msg_type, handlers in self._message_handlers.items():
-            if isinstance(message, msg_type):
-                for handler in handlers:
-                    handler(packet, message, iface)
-                    handled = True
-        return handled
+        cls = type(message)
+        handlers = self._handlers_by_type.get(cls)
+        if handlers is None:
+            handlers = self._handlers_by_type[cls] = [
+                handler
+                for msg_type, registered in self._message_handlers.items()
+                if issubclass(cls, msg_type)
+                for handler in registered
+            ]
+        for handler in handlers:
+            handler(packet, message, iface)
+        return bool(handlers)
 
     # ------------------------------------------------------------------
     # unicast forwarding (routers)

@@ -20,12 +20,19 @@ sift comparisons run entirely in C — the previous ``@dataclass
 (order=True)`` entry paid a Python-level ``__lt__`` (plus two tuple
 allocations) per comparison, dominating dispatch cost at scale.
 
-Cancellation is O(1) lazy deletion, but restart-heavy protocol
-patterns (PIM-DM restarts the 210 s (S,G) data timeout on *every*
-forwarded packet; MLD restarts T_MLI on every Report) would otherwise
-grow the heap without bound with cancelled tombstones and slow every
-``heappush`` logarithmically.  The kernel therefore tracks the number
-of cancelled entries still in the heap and **compacts** (filters +
+Restart-heavy protocol patterns (PIM-DM restarts the 210 s (S,G) data
+timeout on *every* forwarded packet; MLD restarts T_MLI on every
+Report) are served by :meth:`Simulator.defer`: a restart that moves a
+pending event later only rewrites the event's ``time`` and draws it a
+fresh ``seq``.  The heap entry keeps its old, smaller key and is
+re-keyed when it surfaces at the top (one ``heapreplace``), so a
+restart costs no new :class:`Event`, no ``heappush`` and leaves no
+tombstone.  The fresh ``seq`` is drawn exactly where an eager
+cancel-and-reschedule would draw one, so every event is dispatched
+under the same ``(time, seq)`` key either way.
+
+Cancellation is O(1) lazy deletion.  The kernel tracks the number of
+cancelled entries still in the heap and **compacts** (filters +
 re-heapifies) once the cancelled fraction passes a threshold
 (:meth:`Simulator.set_compaction`).  Compaction preserves the
 ``(time, seq)`` keys, so FIFO tie-breaking — and hence every golden
@@ -34,7 +41,7 @@ trace — is unaffected.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
 from time import perf_counter
 from typing import Any, Callable, Optional, Tuple
@@ -47,7 +54,9 @@ class SimulationError(RuntimeError):
 
 
 #: A scheduled heap entry.  Plain tuples compare in C; ``seq`` is unique
-#: per simulator, so ``event`` is never reached by a comparison.
+#: per simulator, so ``event`` is never reached by a comparison.  An
+#: entry whose ``seq`` differs from ``event.seq`` is stale: the event was
+#: deferred and its key only grew, so the entry is re-keyed on surfacing.
 _HeapEntry = Tuple[float, int, "Event"]
 
 
@@ -57,10 +66,13 @@ class Event:
     Events are returned by :meth:`Simulator.schedule` and
     :meth:`Simulator.schedule_at`.  They may be cancelled; cancellation
     is O(1) (lazy deletion from the heap, amortized by compaction).
+    ``time`` and ``seq`` are the event's current ordering key; both
+    change when the event is moved later by :meth:`Simulator.defer`.
     """
 
     __slots__ = (
         "time",
+        "seq",
         "fn",
         "args",
         "kwargs",
@@ -77,8 +89,10 @@ class Event:
         args: tuple,
         kwargs: dict,
         label: str = "",
+        seq: int = -1,
     ) -> None:
         self.time = time
+        self.seq = seq
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
@@ -216,9 +230,11 @@ class Simulator:
 
         ``(time, seq)`` keys are untouched, so event ordering — including
         FIFO tie-breaking within an instant — is exactly preserved.
+        Stale entries of deferred events keep their smaller keys and are
+        still re-keyed when they surface.
         """
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        heapify(self._heap)
         self._cancelled_in_heap = 0
         self._compactions += 1
 
@@ -291,11 +307,31 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, now is t={self._now!r}"
             )
-        event = Event(time, fn, args, kwargs, label=label)
+        seq = next(self._seq)
+        event = Event(time, fn, args, kwargs, label, seq)
         event._sim = self
-        heapq.heappush(self._heap, (time, next(self._seq), event))
+        heappush(self._heap, (time, seq, event))
         self._pending_count += 1
         return event
+
+    def defer(self, event: Event, time: float) -> None:
+        """Move the pending ``event`` to the later (or equal) ``time``.
+
+        Equivalent to cancelling ``event`` and scheduling its callback
+        afresh at ``time``: the event draws a new sequence number, so it
+        runs after everything already queued for ``time``.  The heap is
+        not touched; the entry is re-keyed when it surfaces.  Raises
+        :class:`SimulationError` if ``event`` is not pending on this
+        simulator or ``time`` is earlier than ``event.time``.
+        """
+        if event._sim is not self or not event.pending:
+            raise SimulationError(f"cannot defer {event!r}: not pending here")
+        if not time >= event.time:
+            raise SimulationError(
+                f"cannot defer {event!r} to the earlier t={time!r}"
+            )
+        event.time = time
+        event.seq = next(self._seq)
 
     def call_now(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``fn`` at the current instant (after queued same-time events)."""
@@ -304,25 +340,45 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _pop_next(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the next live event, discarding cancelled tombstones.
+    def _head(self) -> Optional[_HeapEntry]:
+        """The heap entry of the next live event, or None when empty.
 
-        Returns None when the queue is exhausted or the next live event
-        lies strictly beyond ``until``.  Re-reads ``self._heap`` on
-        entry so it composes with compaction triggered by callbacks.
+        Discards cancelled tombstones and re-keys stale (deferred)
+        entries as they surface, so the returned entry carries its
+        event's current ``(time, seq)`` and no other event has a
+        smaller key.  Re-reads ``self._heap`` on entry so it composes
+        with compaction triggered by callbacks.
         """
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[2].cancelled:
-                heapq.heappop(heap)
+            event = head[2]
+            if event.cancelled:
+                heappop(heap)
                 self._cancelled_in_heap -= 1
-                continue
-            if until is not None and head[0] > until:
-                return None
-            heapq.heappop(heap)
-            return head[2]
+            elif head[1] != event.seq:
+                heapreplace(heap, (event.time, event.seq, event))
+            else:
+                return head
         return None
+
+    def _pop_next(self, until: Optional[float] = None) -> Optional[Event]:
+        """Pop the next live event.
+
+        Returns None when the queue is exhausted or the next live event
+        lies strictly beyond ``until``.
+        """
+        heap = self._heap
+        head = heap[0] if heap else None
+        if head is None or head[2].cancelled or head[1] != head[2].seq:
+            # empty, or a tombstone or stale key on top: the slow path
+            head = self._head()
+            if head is None:
+                return None
+        if until is not None and head[0] > until:
+            return None
+        heappop(self._heap)
+        return head[2]
 
     def _dispatch(self, event: Event) -> None:
         """The single dispatch core shared by :meth:`step` and :meth:`run`:
@@ -340,11 +396,13 @@ class Simulator:
         self._dispatched_count += 1
         self._pending_count -= 1
         profiler = self._profiler
-        if profiler is None:
+        if profiler is not None:
+            started = perf_counter()
+        if event.kwargs:
             event.fn(*event.args, **event.kwargs)
         else:
-            started = perf_counter()
-            event.fn(*event.args, **event.kwargs)
+            event.fn(*event.args)
+        if profiler is not None:
             profiler.account(
                 event.label or getattr(event.fn, "__qualname__", "?"),
                 perf_counter() - started,
@@ -411,36 +469,25 @@ class Simulator:
         self._running = True
         dispatched = 0
         try:
-            heap = self._heap
-            while heap:
-                head = heap[0]
-                if head[2].cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    heap = self._heap
-                    continue
-                if head[0] >= bound:
+            while True:
+                head = self._head()
+                if head is None or head[0] >= bound:
                     break
-                heapq.heappop(heap)
+                heappop(self._heap)
                 self._dispatch(head[2])
                 dispatched += 1
                 if max_events is not None and dispatched > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway simulation?)"
                     )
-                # callbacks may trigger compaction, which rebinds the heap
-                heap = self._heap
         finally:
             self._running = False
         return dispatched
 
     def peek_next_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0][0] if heap else None
+        head = self._head()
+        return None if head is None else head[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.6f} pending={self.events_pending}>"

@@ -12,7 +12,10 @@ Every timer the paper discusses maps onto a :class:`Timer`:
   Updates.
 
 A Timer wraps kernel events so that protocol code never has to manage
-Event handles or worry about stale callbacks after a restart.
+Event handles or worry about stale callbacks after a restart.  A
+restart that does not shorten a running timer moves its pending event
+in place (:meth:`Simulator.defer`): no new event, no heap push, no
+tombstone.
 """
 
 from __future__ import annotations
@@ -70,9 +73,22 @@ class Timer:
 
     # ------------------------------------------------------------------
     def start(self, duration: float) -> None:
-        """Arm the timer.  Restarts (reschedules) if already running."""
-        self.stop()
+        """Arm the timer.  Restarts (reschedules) if already running.
+
+        Extending a running timer defers its pending event in place;
+        shortening it cancels the event and schedules a new one.
+        Either way the expiry fires after every callback already queued
+        for the new expiry instant.
+        """
         self.duration = duration
+        event = self._event
+        if event is not None and event.pending:
+            sim = self.sim
+            time = sim.now + duration
+            if time >= event.time:
+                sim.defer(event, time)
+                return
+            event.cancel()
         self._event = self.sim.schedule(duration, self._fire, label=self.name)
 
     def restart(self, duration: Optional[float] = None) -> None:

@@ -14,7 +14,9 @@ simulation grid.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,8 @@ from repro.campaign import (
     CampaignRunner,
     resolve_cell,
 )
+from repro.campaign import tasks
+from repro.campaign.runner import _execute_cell
 from repro.obs import MetricsRegistry
 from repro.sim import derive_seed
 
@@ -167,3 +171,29 @@ class TestProgressAndMetrics:
             "jobs": 1,
             "wall_clock": runner.stats()["wall_clock"],
         }
+
+
+class _Node:
+    pass
+
+
+class TestCellMemory:
+    def test_execute_cell_frees_the_cells_cyclic_garbage(self, monkeypatch):
+        refs = []
+
+        def build_cycle(seed: int = 0):
+            node = _Node()
+            node.self = node  # unreachable once the task returns
+            refs.append(weakref.ref(node))
+            return {"seed": seed}
+
+        monkeypatch.setitem(tasks._REGISTRY, "test.cycle", build_cycle)
+        enabled = gc.isenabled()
+        gc.disable()  # only the runner's own collection may free it
+        try:
+            result, _, error = _execute_cell("test.cycle", {"seed": 3})
+            assert refs and refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert error is None and result == {"seed": 3}

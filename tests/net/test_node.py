@@ -9,6 +9,7 @@ from repro.net import (
     ControlPayload,
     Host,
     Ipv6Packet,
+    Message,
     Network,
     Node,
 )
@@ -67,6 +68,20 @@ class TestDispatch:
         p = Ipv6Packet(Address("2001:db8::2"), h.primary_address(), MldQuery())
         h.receive(p, h.interfaces[0])
         assert seen == ["a", "b"]
+
+    def test_handler_registered_after_first_dispatch_is_called(self, net):
+        link = net.add_link("L", "2001:db8::/64")
+        h = Host(net.sim, "H", rng=net.rng)
+        h.attach_to(link, link.prefix.address_for_host(1))
+        seen = []
+        h.register_message_handler(MldQuery, lambda p, m, i: seen.append("a"))
+        p = Ipv6Packet(Address("2001:db8::2"), h.primary_address(), MldQuery())
+        h.receive(p, h.interfaces[0])
+        h.register_message_handler(Message, lambda p, m, i: seen.append("any"))
+        h.register_message_handler(MldQuery, lambda p, m, i: seen.append("b"))
+        h.receive(p, h.interfaces[0])
+        # grouped by type in first-registration order, then by handler
+        assert seen == ["a", "a", "b", "any"]
 
     def test_unicast_not_mine_dropped_by_host(self, net):
         link = net.add_link("L", "2001:db8::/64")

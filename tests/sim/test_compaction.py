@@ -67,6 +67,15 @@ class TestCompactionTrigger:
         for _ in range(5_000):
             timer.restart(260.0)
             assert sim.heap_size <= 2 * max(sim.events_pending, 64) + 2
+            # restarts re-key in place: no tombstones at all
+            assert sim.heap_cancelled == 0
+            assert sim.heap_size <= 1 + 1
+        # the same loop as raw cancel + schedule still drives compaction
+        event = sim.schedule(260.0, lambda: None)
+        for _ in range(5_000):
+            event.cancel()
+            event = sim.schedule(260.0, lambda: None)
+            assert sim.heap_size <= 2 * max(sim.events_pending, 64) + 2
         assert sim.compactions > 10
 
     def test_set_compaction_validation(self, sim):
