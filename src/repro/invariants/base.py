@@ -167,7 +167,10 @@ class InvariantMonitor:
         if self._attached:
             return self
         self._attached = True
-        self.net.tracer.add_listener(self._on_event)
+        # With no wildcard oracle, the tracer routes only the watched
+        # categories here: unwatched per-datagram records cost no call.
+        categories = None if self._wildcard else tuple(self._routes)
+        self.net.tracer.add_listener(self._on_event, categories=categories)
         for oracle in self.oracles:
             install = getattr(oracle, "install", None)
             if install is not None:

@@ -47,12 +47,14 @@ class Interface:
             raise ValueError(f"{self.name} already attached to {self.link.name}")
         self.link = link
         link.attach(self)
+        self.node.interface_attachment_changed(self)
 
     def detach(self) -> None:
         if self.link is None:
             return
         self.link.detach(self)
         self.link = None
+        self.node.interface_attachment_changed(self)
 
     # ------------------------------------------------------------------
     def add_address(self, address: Address) -> None:

@@ -78,7 +78,12 @@ class Link:
         #: administrative state: a down link drops every frame
         #: (fault injection: LinkDown/LinkUp events)
         self.up = True
+        #: attached interfaces in attachment order.  Mutated only through
+        #: ``Interface.attach``/``detach``, so ``iface.link is self`` is
+        #: the O(1) membership test the per-frame paths use.
         self.interfaces: List["Interface"] = []
+        #: kernel label of every frame-arrival event on this link
+        self._rx_label = f"{name}.rx"
         #: neighbor cache: address -> owning interface (plus proxy entries)
         self._neighbor_cache: Dict[Address, "Interface"] = {}
         self._busy_until = 0.0
@@ -210,7 +215,7 @@ class Link:
         Serialization is FIFO per link: back-to-back packets queue
         behind each other at the link's bandwidth.
         """
-        if sender not in self.interfaces:
+        if sender.link is not self:
             # The sending interface detached (mobile node moved away)
             # before the send fired — account it like every other loss
             # path so handoff losses are not undercounted.
@@ -257,7 +262,7 @@ class Link:
         if l2_dst is not None:
             if shard_router is None or shard_router.local(l2_dst):
                 self.sim.schedule_at(
-                    arrival, self._deliver_one, l2_dst, packet, label=f"{self.name}.rx"
+                    arrival, self._deliver_one, l2_dst, packet, label=self._rx_label
                 )
             else:
                 shard_router.ship(self, l2_dst, packet, arrival)
@@ -265,7 +270,7 @@ class Link:
             # Flood delivery: scheduling does not mutate the attachment
             # list, so iterate it directly — no per-frame list() copy.
             schedule_at = self.sim.schedule_at
-            label = f"{self.name}.rx"
+            label = self._rx_label
             for iface in self.interfaces:
                 if iface is sender:
                     continue
@@ -278,7 +283,7 @@ class Link:
         # The interface may have detached (mobile node moved) while the
         # frame was in flight; such frames are lost, which is exactly the
         # packet loss during handoff the paper's join-delay metric counts.
-        if iface not in self.interfaces:
+        if iface.link is not self:
             if self.stats is not None:
                 self.stats.account_drop(self.name, "receiver-detached")
             return

@@ -101,6 +101,10 @@ class Node:
         self.interfaces.append(iface)
         return iface
 
+    def interface_attachment_changed(self, iface: Interface) -> None:
+        """Called by ``iface`` after it attached to or detached from a
+        link.  Routers drop state derived from the attachment set."""
+
     def attach_to(self, link: Link, address: Optional[Address] = None) -> Interface:
         """Create an interface on ``link``, optionally with an address."""
         iface = self.new_interface()

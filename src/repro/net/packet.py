@@ -212,15 +212,23 @@ class Ipv6Packet:
         return None
 
     def with_decremented_hop_limit(self) -> "Ipv6Packet":
-        """Copy with hop limit reduced by one (router forwarding)."""
-        clone = Ipv6Packet(
-            self.src,
-            self.dst,
-            self.payload,
-            hop_limit=self.hop_limit - 1,
-            dest_options=self.dest_options,
-        )
+        """Copy with hop limit reduced by one (router forwarding).
+
+        Copies the slots (including the memoised size and label) instead
+        of re-running ``__init__``; the copy keeps this packet's uid.
+        One uid is still drawn, as a constructed copy would, so the uids
+        of later packets do not depend on how this one was cloned.
+        """
+        clone = Ipv6Packet.__new__(Ipv6Packet)
+        clone.src = self.src
+        clone.dst = self.dst
+        clone.payload = self.payload
+        clone.hop_limit = self.hop_limit - 1
+        clone.dest_options = self.dest_options
+        next(_packet_uid)
         clone.uid = self.uid
+        clone._size_bytes = self._size_bytes
+        clone._described = self._described
         return clone
 
     def describe(self) -> str:

@@ -91,8 +91,14 @@ class TraceStore:
         seq = self._base + len(self._events)
         self._events.append(event)
         self._times.append(time)
-        self._by_category.setdefault(event.category, []).append(seq)
-        self._by_node.setdefault(event.node, []).append(seq)
+        seqs = self._by_category.get(event.category)
+        if seqs is None:
+            seqs = self._by_category[event.category] = []
+        seqs.append(seq)
+        seqs = self._by_node.get(event.node)
+        if seqs is None:
+            seqs = self._by_node[event.node] = []
+        seqs.append(seq)
         if self.capacity is not None and seq + 1 - self._min_live > self.capacity:
             self._min_live = seq + 1 - self.capacity
             # Compact once the dead prefix outweighs the live window so

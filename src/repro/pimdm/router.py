@@ -34,7 +34,7 @@ the ``prune-override`` window.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..mld import MldConfig, MldRouter
 from ..net.addressing import ALL_PIM_ROUTERS, Address
@@ -52,7 +52,7 @@ from .messages import (
     PimPrune,
     PimStateRefresh,
 )
-from .state import DownstreamState, SgEntry, StateStore, sg_key
+from .state import DownstreamState, OifPlan, SgEntry, StateStore, sg_key
 
 __all__ = ["PimDmEngine", "MulticastRouter"]
 
@@ -83,6 +83,10 @@ class PimDmEngine:
         self._join_override_events: Dict[tuple, Event] = {}
         self._last_assert_sent: Dict[Tuple[tuple, int], float] = {}
         self._rng = node.rng.stream(f"pim.{node.name}")
+        #: bumped whenever engine-wide state that ``outgoing_ifaces``
+        #: reads changes: a PIM neighbor set, an MLD membership, or an
+        #: interface attaching/detaching.  Part of every OifPlan's key.
+        self.epoch = 0
 
         node.register_message_handler(PimHello, self._on_hello)
         node.register_message_handler(PimJoin, self._on_join)
@@ -135,6 +139,7 @@ class PimDmEngine:
         self._last_assert_sent.clear()
         self.node_groups.clear()
         self.store.reset()
+        self.epoch += 1
 
     # ------------------------------------------------------------------
     # neighbor discovery
@@ -158,6 +163,7 @@ class PimDmEngine:
                 name=f"{self.node.name}.pim.nbr.{packet.src}",
             )
             table[packet.src] = timer
+            self.epoch += 1
             self.node.trace(
                 "pim", event="neighbor-up", iface=iface.name, neighbor=str(packet.src)
             )
@@ -180,6 +186,7 @@ class PimDmEngine:
     def _neighbor_expired(self, iface: Interface, address: Address) -> None:
         table = self.neighbors.get(iface.uid, {})
         table.pop(address, None)
+        self.epoch += 1
         self.node.trace(
             "pim", event="neighbor-expired", iface=iface.name, neighbor=str(address)
         )
@@ -199,8 +206,36 @@ class PimDmEngine:
     def _has_local_members(self, iface: Interface, group: Address) -> bool:
         return self.mld is not None and self.mld.has_members(iface, group)
 
-    def outgoing_ifaces(self, entry: SgEntry) -> List[Interface]:
-        """The entry's current outgoing interface list (computed live)."""
+    def outgoing_ifaces(self, entry: SgEntry) -> Sequence[Interface]:
+        """The entry's current outgoing interface list.
+
+        Memoised on the entry as an :class:`OifPlan` keyed by the state
+        the computation reads: the engine :attr:`epoch` (neighbors, MLD
+        membership, interface attachment), the upstream interface, and
+        the downstream table's pruned/assert-loser flags.  Recomputed
+        when any of them differs, so a direct flag write is seen too.
+        The returned tuple is shared with the memo.
+        """
+        plan = entry.oif_plan
+        flags = entry.downstream.flag_key()
+        if (
+            plan is None
+            or plan.epoch != self.epoch
+            or plan.upstream is not entry.upstream_iface
+            or plan.flags != flags
+        ):
+            plan = entry.oif_plan = OifPlan(
+                self.epoch,
+                entry.upstream_iface,
+                flags,
+                self._live_oifs(entry),
+                str(entry.source),
+                str(entry.group),
+            )
+        return plan.oifs
+
+    def _live_oifs(self, entry: SgEntry) -> Tuple[Interface, ...]:
+        """The outgoing interface list computed from current state."""
         result: List[Interface] = []
         for iface in self.node.interfaces:
             if not iface.attached or iface is entry.upstream_iface:
@@ -213,7 +248,7 @@ class PimDmEngine:
                 continue
             if self.has_pim_neighbors(iface) and not (ds is not None and ds.pruned):
                 result.append(iface)
-        return result
+        return tuple(result)
 
     def _has_interest(self, entry: SgEntry) -> bool:
         return entry.group in self.node_groups or bool(self.outgoing_ifaces(entry))
@@ -294,15 +329,21 @@ class PimDmEngine:
             outs = self.outgoing_ifaces(entry)
             if outs and packet.hop_limit > 1:
                 forwarded = packet.with_decremented_hop_limit()
+                send_on = self.node.send_on
                 for oif in outs:
-                    self.node.send_on(oif, forwarded)
+                    send_on(oif, forwarded)
                 entry.packets_forwarded += 1
                 self.node.load["packets_forwarded"] += len(outs)
+                plan = entry.oif_plan
+                if plan is None or plan.oifs is not outs:
+                    # outgoing_ifaces was replaced (a test double):
+                    # describe the list it returned, not the memo.
+                    plan = OifPlan(self.epoch, None, (0, 0), outs, str(source), str(group))
                 self.node.trace(
                     "mcast.forward",
-                    source=str(source),
-                    group=str(group),
-                    links=[o.link.name for o in outs if o.link],
+                    source=plan.source,
+                    group=plan.group,
+                    links=list(plan.links),
                     uid=packet.uid,
                 )
             elif not outs:
@@ -763,6 +804,7 @@ class PimDmEngine:
     def on_membership_change(
         self, iface: Interface, group: Address, present: bool
     ) -> None:
+        self.epoch += 1
         for entry in self.entries_for_group(group):
             if present:
                 ds = entry.downstream_state(iface)
@@ -868,6 +910,10 @@ class MulticastRouter(Node):
         and memberships are relearned."""
         super().restart()
         self.start()
+
+    def interface_attachment_changed(self, iface: Interface) -> None:
+        # An attached interface is a candidate oif: every plan is stale.
+        self.pim.epoch += 1
 
     def handle_multicast(self, packet: Ipv6Packet, iface: Interface) -> None:
         self.dispatch_message(packet, iface)

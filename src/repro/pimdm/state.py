@@ -36,7 +36,7 @@ analytic per-object byte model used by the scaling study lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..net.addressing import Address
 from ..net.interface import Interface
@@ -47,6 +47,7 @@ __all__ = [
     "CompactDownstreamTable",
     "DictDownstreamTable",
     "DownstreamState",
+    "OifPlan",
     "OifSet",
     "STATE_BACKENDS",
     "SgEntry",
@@ -302,6 +303,18 @@ class DictDownstreamTable(dict):
             self[iface.uid] = state
         return state
 
+    def flag_key(self) -> Tuple[int, int]:
+        """(pruned, assert-loser) uid bitmasks, as the compact table
+        stores them — read from the per-state booleans on every call,
+        so a direct ``ds.pruned = ...`` write changes the key."""
+        pruned = loser = 0
+        for uid, state in self.items():
+            if state.pruned:
+                pruned |= 1 << uid
+            if state.assert_loser:
+                loser |= 1 << uid
+        return pruned, loser
+
 
 class CompactDownstreamTable:
     """Array-backed downstream table indexed by per-node iface uid.
@@ -334,6 +347,10 @@ class CompactDownstreamTable:
             self._states[uid] = state
         return state
 
+    def flag_key(self) -> Tuple[int, int]:
+        """(pruned, assert-loser) uid bitmasks: the table's flag state."""
+        return self.pruned_oifs._bits, self.assert_loser_oifs._bits
+
     def values(self) -> List[CompactDownstreamState]:
         return [s for s in self._states if s is not None]
 
@@ -345,6 +362,41 @@ class CompactDownstreamTable:
 
     def __iter__(self) -> Iterator[int]:
         return iter(s.iface.uid for s in self._states if s is not None)
+
+
+# ----------------------------------------------------------------------
+# memoised forwarding plan
+# ----------------------------------------------------------------------
+class OifPlan:
+    """An (S,G) entry's outgoing interface list, memoised.
+
+    The list changes only on control events, so
+    :meth:`~repro.pimdm.router.PimDmEngine.outgoing_ifaces` keeps it
+    on the entry with the state it was computed from — the engine
+    epoch, the upstream interface and the downstream table's
+    :meth:`flag_key` — and recomputes when any of them differs.  The
+    plan also carries what a ``mcast.forward`` record needs: the
+    source and group text and the names of the links the oifs sit on.
+    """
+
+    __slots__ = ("epoch", "upstream", "flags", "oifs", "source", "group", "links")
+
+    def __init__(
+        self,
+        epoch: int,
+        upstream: Optional[Interface],
+        flags: Tuple[int, int],
+        oifs: Sequence[Interface],
+        source: str,
+        group: str,
+    ) -> None:
+        self.epoch = epoch
+        self.upstream = upstream
+        self.flags = flags
+        self.oifs = oifs
+        self.source = source
+        self.group = group
+        self.links = [o.link.name for o in oifs if o.link]
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +435,8 @@ class SgEntry:
     #: The ``entries`` dict key: the interned small int under the
     #: compact backend, None (→ computed :func:`sg_key`) under dict.
     interned_key: Optional[int] = None
+    #: the memoised outgoing interface list (see :class:`OifPlan`)
+    oif_plan: Optional[OifPlan] = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     @property

@@ -37,7 +37,7 @@ category           meaning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.store import TraceQueryMixin, TraceStore
 from .kernel import Simulator
@@ -45,9 +45,14 @@ from .kernel import Simulator
 __all__ = ["TraceEvent", "Tracer"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
-    """One trace record."""
+    """One trace record.
+
+    Slotted and not frozen: one is built per forwarded or delivered
+    datagram, and a frozen dataclass's ``object.__setattr__`` init costs
+    about three times as much.  Treat records as read-only.
+    """
 
     time: float
     category: str
@@ -90,11 +95,15 @@ class Tracer(TraceQueryMixin):
                     f"{sorted(overlap)}"
                 )
         self._store = TraceStore(capacity=capacity)
-        self._listeners: List[Callable[[TraceEvent], None]] = []
+        #: (listener, categories or None) in registration order
+        self._listeners: List[Tuple[Callable[[TraceEvent], None], Optional[frozenset]]] = []
         #: category -> recorded? memo, so the hot path (record / wants)
         #: is a single dict hit instead of two set probes; invalidated
         #: by enable/disable.
         self._active_cache: Dict[str, bool] = {}
+        #: category -> the listeners that see it, in registration order;
+        #: invalidated by add_listener.
+        self._listener_cache: Dict[str, Tuple[Callable[[TraceEvent], None], ...]] = {}
 
     # ------------------------------------------------------------------
     def record(self, category: str, node: str, **detail: Any) -> None:
@@ -106,7 +115,12 @@ class Tracer(TraceQueryMixin):
             return
         ev = TraceEvent(self.sim.now, category, node, detail)
         self._store.append(ev)
-        for listener in self._listeners:
+        listeners = self._listener_cache.get(category)
+        if listeners is None:
+            listeners = self._listener_cache[category] = tuple(
+                fn for fn, cats in self._listeners if cats is None or category in cats
+            )
+        for listener in listeners:
             listener(ev)
 
     def wants(self, category: str) -> bool:
@@ -130,20 +144,14 @@ class Tracer(TraceQueryMixin):
         """Register a live listener (used by online metric collectors).
 
         With ``categories``, the listener only sees events whose
-        category is in the set — a span recorder subscribed to the
-        control-plane categories then costs one membership probe per
-        data-plane event instead of a full callback.
+        category is in the set.  Routing is per category: a span
+        recorder subscribed to the control-plane categories costs
+        nothing on a data-plane event.  Listeners run in registration
+        order.
         """
-        if categories is not None:
-            cats = frozenset(categories)
-
-            def filtered(ev: TraceEvent, _fn=fn, _cats=cats) -> None:
-                if ev.category in _cats:
-                    _fn(ev)
-
-            self._listeners.append(filtered)
-            return
-        self._listeners.append(fn)
+        cats = frozenset(categories) if categories is not None else None
+        self._listeners.append((fn, cats))
+        self._listener_cache.clear()
 
     def disable(self, category: str) -> None:
         """Stop recording ``category`` (existing events are kept)."""

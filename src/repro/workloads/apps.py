@@ -21,9 +21,10 @@ from ..net.packet import Ipv6Packet
 __all__ = ["Delivery", "ReceiverApp"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivery:
-    """One datagram delivery at the application."""
+    """One datagram delivery at the application (slotted, not frozen:
+    one is built per delivered datagram; treat it as read-only)."""
 
     time: float
     flow: str

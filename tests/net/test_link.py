@@ -106,6 +106,29 @@ class TestDelivery:
         # No frame was delivered to the remaining host.
         assert net.tracer.count(category="link") == 0
 
+    def test_detach_accounting_on_many_host_link(self):
+        """Receiver checks are per interface: a host that left before
+        the frame arrived loses it, one that left and came back to the
+        same link gets it, one that moved to another link does not."""
+        net, link, hosts = build(6, delay=10e-3)
+        other = net.add_link("WLAN", "2001:db8:a::/64")
+        got = []
+        for h in hosts:
+            h.receive = lambda p, i, name=h.name: got.append(name)  # type: ignore
+        link.transmit(hosts[0].interfaces[0], packet(hosts[0].primary_address(), Address("ff1e::1")))
+        gone, back, moved = (h.interfaces[0] for h in hosts[1:4])
+        for iface in (gone, back, moved):
+            net.sim.schedule_at(0.001, iface.detach)
+        net.sim.schedule_at(0.002, back.attach, link)
+        net.sim.schedule_at(0.002, moved.attach, other)
+        net.sim.run()
+        assert sorted(got) == ["H2", "H4", "H5"]
+        assert net.stats.link_drops("LAN", "receiver-detached") == 2
+        assert net.stats.link_drops("LAN", "sender-detached") == 0
+        # a detached sender's later send is a sender-detached drop
+        link.transmit(gone, packet(hosts[1].primary_address(), Address("ff1e::1")))
+        assert net.stats.link_drops("LAN", "sender-detached") == 1
+
 
 class TestNeighborCache:
     def test_resolve_attached_address(self):

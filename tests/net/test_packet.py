@@ -109,3 +109,29 @@ class TestEncapsulation:
             p = p.encapsulate(COA, HA)
         assert p.size_bytes == base + depth * IPV6_HEADER_BYTES
         assert p.overhead_bytes == depth * IPV6_HEADER_BYTES
+
+
+class TestHopClone:
+    def test_clone_keeps_identity_and_size(self):
+        p = data_packet(700)
+        size, text = p.size_bytes, p.describe()
+        q = p.with_decremented_hop_limit()
+        assert q is not p
+        assert q.uid == p.uid
+        assert (q.src, q.dst) == (p.src, p.dst)
+        assert q.dest_options == p.dest_options
+        assert q.size_bytes == size
+        assert q.describe() == text
+
+    def test_clone_of_unsized_packet_computes_size(self):
+        q = data_packet(300).with_decremented_hop_limit()
+        assert q.size_bytes == IPV6_HEADER_BYTES + 300
+
+    def test_clone_draws_one_uid(self):
+        """The next packet's uid is the one a constructed copy leaves."""
+        from repro.net.packet import reset_packet_uids
+
+        reset_packet_uids()
+        p = data_packet()
+        p.with_decremented_hop_limit()
+        assert data_packet().uid == p.uid + 2

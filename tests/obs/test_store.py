@@ -45,6 +45,15 @@ class TestAppend:
         assert store.categories() == ["mld", "pim"]
         assert store.nodes() == ["A", "B"]
 
+    def test_indexes_created_on_first_sight(self):
+        store = TraceStore()
+        store.append(ev(1.0, "mld", "A"))
+        store.append(ev(2.0, "pim", "B"))
+        store.append(ev(3.0, "mld", "B"))
+        assert store._by_category == {"mld": [0, 2], "pim": [1]}
+        assert store._by_node == {"A": [0], "B": [1, 2]}
+        assert [e.time for e in store.select(category="mld", node="B")] == [3.0]
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             TraceStore(capacity=0)

@@ -147,3 +147,81 @@ class TestQueries:
         ev = tr.first("pim")
         assert ev.matches(event="graft-sent")
         assert not ev.matches(event="prune-sent")
+
+
+class TestTraceEventRecord:
+    """TraceEvent is a slotted, non-frozen dataclass."""
+
+    def test_equality_and_slots(self):
+        from repro.sim.trace import TraceEvent
+
+        a = TraceEvent(1.0, "pim", "A", {"event": "x"})
+        assert a == TraceEvent(1.0, "pim", "A", {"event": "x"})
+        assert a != TraceEvent(1.0, "pim", "B", {"event": "x"})
+        assert not hasattr(a, "__dict__")
+
+    def test_repr(self):
+        from repro.sim.trace import TraceEvent
+
+        text = repr(TraceEvent(2.5, "mld", "R1", {"event": "join"}))
+        assert "mld" in text and "R1" in text and "event=join" in text
+
+    def test_replace(self):
+        from dataclasses import replace
+
+        from repro.sim.trace import TraceEvent
+
+        a = TraceEvent(1.0, "pim", "A", {"event": "x"})
+        b = replace(a, time=2.0)
+        assert (b.time, b.category, b.node, b.detail) == (2.0, "pim", "A", {"event": "x"})
+        assert a.time == 1.0
+
+    def test_jsonl_round_trip(self, tmp_path):
+        from repro.obs.export import digest_events, export_run, import_run
+
+        sim, tr = make()
+        sim.schedule(1.0, tr.record, "pim", "A", event="prune-sent", links=["L1"])
+        sim.schedule(2.0, tr.record, "mcast.deliver", "H", seqno=3)
+        sim.run()
+        path = str(tmp_path / "run.jsonl")
+        export_run(path, tr)
+        archive = import_run(path)
+        assert list(archive.events) == list(tr.events)
+        assert digest_events(archive.events) == digest_events(tr.events)
+
+
+class TestListenerRouting:
+    def test_categories_route_only_matching_events(self):
+        _, tr = make()
+        pim, every = [], []
+        tr.add_listener(pim.append, categories=("pim",))
+        tr.add_listener(every.append)
+        tr.record("pim", "A")
+        tr.record("mcast.deliver", "H")
+        assert [e.category for e in pim] == ["pim"]
+        assert [e.category for e in every] == ["pim", "mcast.deliver"]
+
+    def test_registration_order_kept(self):
+        _, tr = make()
+        order = []
+        tr.add_listener(lambda ev: order.append("a"), categories=("pim",))
+        tr.add_listener(lambda ev: order.append("b"))
+        tr.add_listener(lambda ev: order.append("c"), categories=("pim", "mld"))
+        tr.record("pim", "A")
+        tr.record("mld", "A")
+        assert order == ["a", "b", "c", "b", "c"]
+
+    def test_listener_added_after_first_record_is_routed(self):
+        _, tr = make()
+        seen = []
+        tr.record("pim", "A")  # fills the per-category memo
+        tr.add_listener(seen.append, categories=("pim",))
+        tr.record("pim", "A")
+        assert len(seen) == 1
+
+    def test_empty_categories_never_called(self):
+        _, tr = make()
+        seen = []
+        tr.add_listener(seen.append, categories=())
+        tr.record("pim", "A")
+        assert seen == []

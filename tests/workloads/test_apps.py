@@ -106,3 +106,16 @@ class TestProbes:
         app = self._filled()
         window = app.deliveries_between(2.0, 4.0)
         assert [d.seqno for d in window] == [1, 2, 3]
+
+
+class TestDeliveryRecord:
+    def test_fields(self):
+        net, h, app = receiver()
+        inject(net, h, 4, 2.0, flow="g", sent_at=1.5)
+        inject(net, h, 4, 3.0, flow="g", sent_at=1.5)
+        net.sim.run()
+        first, second = app.deliveries
+        assert (first.time, first.flow, first.seqno) == (2.0, "g", 4)
+        assert first.latency == pytest.approx(0.5)
+        assert not first.duplicate and second.duplicate
+        assert not hasattr(first, "__dict__")  # slotted
