@@ -60,6 +60,10 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.tracer = tracer
         self.stats = stats
+        #: this link's counters in ``stats``, bound on the first charged
+        #: frame so links that never carry traffic stay absent from the
+        #: network's accounting
+        self._link_stats = None
         #: retained so a loss model can be installed (or the loss rate
         #: mutated) after construction with a deterministic stream
         self._rng = rng
@@ -239,7 +243,10 @@ class Link:
                 self._drop("nd-failure", dst=str(packet.dst))
                 return
         if self.stats is not None:
-            self.stats.account(self.name, packet)
+            link_stats = self._link_stats
+            if link_stats is None:
+                link_stats = self._link_stats = self.stats.stats_for(self.name)
+            link_stats.account(packet)
         tracer = self.tracer
         if tracer is not None and tracer.wants("link"):
             # wants() pre-filters before the describe()/kwargs cost:

@@ -332,16 +332,22 @@ class Host(Node):
         self._app_receivers.append(callback)
 
     def deliver_app_data(self, packet: Ipv6Packet) -> None:
-        message = packet.innermost_message()
+        inner = packet.inner
+        message = inner.payload
         if isinstance(message, ApplicationData):
-            self.trace(
-                "mcast.deliver",
-                group=str(packet.inner.dst),
-                flow=message.flow,
-                seqno=message.seqno,
-                src=str(packet.inner.src),
-                latency=self.sim.now - message.sent_at,
-            )
+            tracer = self.tracer
+            if tracer is not None:
+                # Straight to Tracer.record: one detail dict per
+                # delivery instead of a second copy through trace().
+                tracer.record(
+                    "mcast.deliver",
+                    self.name,
+                    group=str(inner.dst),
+                    flow=message.flow,
+                    seqno=message.seqno,
+                    src=str(inner.src),
+                    latency=self.sim.now - message.sent_at,
+                )
             for callback in self._app_receivers:
                 callback(packet, message)
 

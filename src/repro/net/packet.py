@@ -123,6 +123,9 @@ class Ipv6Packet:
         "hop_limit",
         "dest_options",
         "uid",
+        "_inner",
+        "stats_category",
+        "stats_overhead",
         "_size_bytes",
         "_described",
     )
@@ -142,9 +145,19 @@ class Ipv6Packet:
         self.dest_options: Tuple[DestinationOption, ...] = tuple(dest_options)
         self.uid = next(_packet_uid)
         # Packets are immutable after construction (forwarding clones
-        # instead of mutating), so the wire size and trace label are
-        # computed once and memoized — both are recomputed per hop on
-        # the Link.transmit hot path otherwise.
+        # instead of mutating), so the facts every hop needs are
+        # computed once and memoized: the innermost packet, the wire
+        # size, the trace label and the stats classification (filled by
+        # :func:`repro.net.stats.classify_packet`: the category and the
+        # bytes charged to ``tunnel_overhead``).  A plain packet stores
+        # None, not itself, as its innermost packet: a self-reference
+        # would make every datagram a reference cycle that only the
+        # cyclic garbage collector can free.
+        self._inner: Optional[Ipv6Packet] = (
+            payload.inner if isinstance(payload, Ipv6Packet) else None
+        )
+        self.stats_category: Optional[str] = None
+        self.stats_overhead = 0
         self._size_bytes: Optional[int] = None
         self._described: Optional[str] = None
 
@@ -164,20 +177,18 @@ class Ipv6Packet:
     @property
     def is_tunneled(self) -> bool:
         """True when this packet encapsulates another IPv6 packet."""
-        return isinstance(self.payload, Ipv6Packet)
+        return self._inner is not None
 
     @property
     def inner(self) -> "Ipv6Packet":
         """Innermost encapsulated packet (self when not tunneled)."""
-        pkt = self
-        while isinstance(pkt.payload, Ipv6Packet):
-            pkt = pkt.payload
-        return pkt
+        return self._inner or self
 
     @property
     def overhead_bytes(self) -> int:
         """Bytes of this packet that are tunnel overhead (0 if plain)."""
-        return self.size_bytes - self.inner.size_bytes
+        inner = self._inner
+        return 0 if inner is None else self.size_bytes - inner.size_bytes
 
     def innermost_message(self) -> Message:
         """The application/protocol message at the bottom of any tunnel."""
@@ -214,10 +225,12 @@ class Ipv6Packet:
     def with_decremented_hop_limit(self) -> "Ipv6Packet":
         """Copy with hop limit reduced by one (router forwarding).
 
-        Copies the slots (including the memoised size and label) instead
-        of re-running ``__init__``; the copy keeps this packet's uid.
-        One uid is still drawn, as a constructed copy would, so the uids
-        of later packets do not depend on how this one was cloned.
+        Copies the slots (including the memoised size, label and stats
+        classification) instead of re-running ``__init__``; the copy
+        keeps this packet's uid.  One uid is still drawn, as a
+        constructed copy would, so the uids of later packets do not
+        depend on how this one was cloned.  A plain packet's clone is
+        its own ``inner``; a tunnel's shares the encapsulated one.
         """
         clone = Ipv6Packet.__new__(Ipv6Packet)
         clone.src = self.src
@@ -227,6 +240,9 @@ class Ipv6Packet:
         clone.dest_options = self.dest_options
         next(_packet_uid)
         clone.uid = self.uid
+        clone._inner = self._inner
+        clone.stats_category = self.stats_category
+        clone.stats_overhead = self.stats_overhead
         clone._size_bytes = self._size_bytes
         clone._described = self._described
         return clone

@@ -110,16 +110,32 @@ def classify_packet(packet: Ipv6Packet) -> str:
     """Classify a packet by its innermost payload.
 
     Tunneled packets classify as their inner content; the encapsulation
-    bytes are charged separately to ``tunnel_overhead`` by the caller
-    (see :meth:`LinkStats.account`).
+    bytes are charged separately to ``tunnel_overhead`` (see
+    :meth:`LinkStats.account`).  The result is memoised on the packet
+    together with those overhead bytes (``stats_category`` /
+    ``stats_overhead``), so a datagram is classified once, not on every
+    hop.
     """
-    message = packet.innermost_message()
+    category = packet.stats_category
+    if category is not None:
+        return category
+    inner = packet.inner
+    message = inner.payload
     proto = message.protocol
+    overhead = packet.overhead_bytes
     if proto == "app":
         if getattr(message, "probe", False):
-            return FLUID_PROBE_CATEGORY
-        return "mcast_data" if packet.inner.dst.is_multicast else "unicast_data"
-    return proto
+            # Probe datagrams carry their whole wire size (tunnel
+            # headers included) in the probe bucket: the analytic fluid
+            # charges must stay exactly rate x dt per data category.
+            category, overhead = FLUID_PROBE_CATEGORY, 0
+        else:
+            category = "mcast_data" if inner.dst.is_multicast else "unicast_data"
+    else:
+        category = proto
+    packet.stats_overhead = overhead
+    packet.stats_category = category
+    return category
 
 
 @dataclass
@@ -141,15 +157,10 @@ class LinkStats:
 
     def account(self, packet: Ipv6Packet) -> str:
         """Charge one transmission; returns the category used."""
-        category = classify_packet(packet)
-        if category == FLUID_PROBE_CATEGORY:
-            # Probe datagrams carry their whole wire size (tunnel
-            # headers included) in the probe bucket: the analytic fluid
-            # charges must stay exactly rate x dt per data category.
-            self.bytes_by_category[category] += packet.size_bytes
-            self.packets_by_category[category] += 1
-            return category
-        overhead = packet.overhead_bytes
+        category = packet.stats_category
+        if category is None:
+            category = classify_packet(packet)
+        overhead = packet.stats_overhead
         self.bytes_by_category[category] += packet.size_bytes - overhead
         self.packets_by_category[category] += 1
         if overhead:

@@ -59,6 +59,8 @@ class TraceStore:
         "_times",
         "_base",
         "_min_live",
+        "_next_seq",
+        "_last_time",
         "_by_category",
         "_by_node",
     )
@@ -74,6 +76,8 @@ class TraceStore:
         self._times: List[float] = []
         self._base = 0  # seq of _events[0]
         self._min_live = 0  # seq of the oldest retained event
+        self._next_seq = 0  # seq the next append gets
+        self._last_time = float("-inf")  # time of the newest append
         self._by_category: Dict[str, List[int]] = {}
         self._by_node: Dict[str, List[int]] = {}
 
@@ -84,11 +88,13 @@ class TraceStore:
         """Append one event.  Times must be non-decreasing (they come
         from a monotone simulation clock)."""
         time = event.time
-        if self._times and time < self._times[-1]:
+        if time < self._last_time:
             raise ValueError(
-                f"out-of-order event: t={time!r} after t={self._times[-1]!r}"
+                f"out-of-order event: t={time!r} after t={self._last_time!r}"
             )
-        seq = self._base + len(self._events)
+        self._last_time = time
+        seq = self._next_seq
+        self._next_seq = seq + 1
         self._events.append(event)
         self._times.append(time)
         seqs = self._by_category.get(event.category)
@@ -127,6 +133,8 @@ class TraceStore:
         self._times.clear()
         self._base = 0
         self._min_live = 0
+        self._next_seq = 0
+        self._last_time = float("-inf")
         self._by_category.clear()
         self._by_node.clear()
 
@@ -139,7 +147,7 @@ class TraceStore:
     @property
     def total_recorded(self) -> int:
         """Events ever appended, including ring-evicted ones."""
-        return self._base + len(self._events)
+        return self._next_seq
 
     @property
     def evicted(self) -> int:

@@ -318,7 +318,10 @@ class PimDmEngine:
     # ------------------------------------------------------------------
     def on_multicast_data(self, packet: Ipv6Packet, iface: Interface) -> None:
         source, group = packet.src, packet.dst
-        entry = self.entries.get(self.store.key(source, group))
+        key = self.store.keys.get((source.as_int(), group.as_int()))
+        if key is None:
+            key = self.store.key(source, group)
+        entry = self.entries.get(key)
         if entry is None:
             entry = self._create_entry(source, group)
             if entry is None:
@@ -339,13 +342,18 @@ class PimDmEngine:
                     # outgoing_ifaces was replaced (a test double):
                     # describe the list it returned, not the memo.
                     plan = OifPlan(self.epoch, None, (0, 0), outs, str(source), str(group))
-                self.node.trace(
-                    "mcast.forward",
-                    source=plan.source,
-                    group=plan.group,
-                    links=list(plan.links),
-                    uid=packet.uid,
-                )
+                tracer = self.node.tracer
+                if tracer is not None:
+                    # Straight to Tracer.record: one detail dict per
+                    # forward instead of a second copy through trace().
+                    tracer.record(
+                        "mcast.forward",
+                        self.node.name,
+                        source=plan.source,
+                        group=plan.group,
+                        links=list(plan.links),
+                        uid=packet.uid,
+                    )
             elif not outs:
                 entry.packets_discarded += 1
             if group in self.node_groups:
@@ -919,7 +927,7 @@ class MulticastRouter(Node):
         self.dispatch_message(packet, iface)
         if packet.dst.is_link_scope_multicast:
             return
-        if packet.innermost_message().protocol == "app":
+        if packet.inner.payload.protocol == "app":
             self.pim.on_multicast_data(packet, iface)
 
     # Convenience wrappers ------------------------------------------------

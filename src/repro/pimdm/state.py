@@ -490,7 +490,7 @@ class StateStore:
     switching representations cannot change behaviour.
     """
 
-    __slots__ = ("backend", "interner")
+    __slots__ = ("backend", "interner", "keys")
 
     def __init__(self, backend: str = "compact") -> None:
         if backend not in STATE_BACKENDS:
@@ -501,11 +501,20 @@ class StateStore:
         self.interner: Optional[SgInterner] = (
             SgInterner() if backend == "compact" else None
         )
+        #: (source int, group int) -> ``entries`` key under either
+        #: backend, so the data path finds an entry's key with one probe
+        self.keys: Dict[Tuple[int, int], object] = {}
 
     def key(self, source: Address, group: Address):
-        if self.interner is not None:
-            return self.interner.intern_sg(source, group)
-        return sg_key(source, group)
+        pair = sg_key(source, group)
+        key = self.keys.get(pair)
+        if key is None:
+            key = self.keys[pair] = (
+                pair
+                if self.interner is None
+                else self.interner.intern_sg(source, group)
+            )
+        return key
 
     def new_entry(
         self,
@@ -539,3 +548,4 @@ class StateStore:
         """Crash support: discard interned ids with the rest of state."""
         if self.interner is not None:
             self.interner = SgInterner()
+            self.keys.clear()

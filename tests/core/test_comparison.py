@@ -1,5 +1,8 @@
 """Integration tests for the §4.3 comparison engine (reduced horizons)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import (
@@ -100,3 +103,16 @@ class TestFullComparison:
         # 2 join-delay claims + 4 leave + 2 optimality + 2 load + 3 sender
         # + 2 uni-directional inheritances
         assert len(report.claims) >= 12
+
+    def test_rows_digest(self, report):
+        """The rows, byte for byte: tunnel_overhead and the mld/pim/mipv6
+        byte counts are the per-link stats charges summed."""
+        rows = {
+            "receiver": report.receiver_rows,
+            "sender": report.sender_rows,
+            "join_study": report.join_study_rows,
+        }
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c64a5b1ac31caf30c4c02cc62be7bcb57f7f7d64429130854f0a96c86b47a023"
+        )

@@ -1,10 +1,21 @@
 """Unit + property tests for IPv6 packets and encapsulation."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.mipv6 import HomeAddressOption
-from repro.net import Address, ApplicationData, IPV6_HEADER_BYTES, Ipv6Packet
+from repro.mipv6.options import BindingRequestOption
+from repro.net import (
+    Address,
+    ApplicationData,
+    ControlPayload,
+    IPV6_HEADER_BYTES,
+    Ipv6Packet,
+    LinkStats,
+    classify_packet,
+)
 
 SRC = Address("2001:db8:1::10")
 DST = Address("ff1e::1")
@@ -135,3 +146,123 @@ class TestHopClone:
         p = data_packet()
         p.with_decremented_hop_limit()
         assert data_packet().uid == p.uid + 2
+
+
+# ----------------------------------------------------------------------
+# differential test of the per-packet memo (inner, size, classification)
+# ----------------------------------------------------------------------
+UNI = Address("2001:db8:2::20")
+
+
+def walk_inner(packet):
+    """Innermost packet, found by walking the payload chain."""
+    while isinstance(packet.payload, Ipv6Packet):
+        packet = packet.payload
+    return packet
+
+
+def walk_size(packet):
+    """Wire size from scratch: headers, padded options, payload."""
+    options = 0
+    if packet.dest_options:
+        raw = 2 + sum(opt.size_bytes for opt in packet.dest_options)
+        options = (raw + 7) // 8 * 8
+    payload = packet.payload
+    body = walk_size(payload) if isinstance(payload, Ipv6Packet) else payload.size_bytes
+    return IPV6_HEADER_BYTES + options + body
+
+
+def walk_charges(packet):
+    """(category, bytes charged per category) of one transmission."""
+    inner = walk_inner(packet)
+    message = inner.payload
+    size = walk_size(packet)
+    overhead = size - walk_size(inner)
+    if message.protocol == "app":
+        if message.probe:
+            return "fluid_probe", {"fluid_probe": size}
+        category = "mcast_data" if inner.dst.is_multicast else "unicast_data"
+    else:
+        category = message.protocol
+    charges = {category: size - overhead}
+    if overhead:
+        charges["tunnel_overhead"] = overhead
+    return category, charges
+
+
+_messages = st.one_of(
+    st.builds(
+        ApplicationData,
+        seqno=st.integers(0, 50),
+        payload_bytes=st.integers(0, 1500),
+        probe=st.booleans(),
+    ),
+    st.builds(
+        ControlPayload,
+        protocol=st.sampled_from(["mld", "pim", "mipv6"]),
+        size=st.integers(0, 64),
+    ),
+)
+_options = st.lists(
+    st.sampled_from(["home", "request"]), max_size=3
+).map(
+    lambda kinds: tuple(
+        HomeAddressOption(UNI) if kind == "home" else BindingRequestOption()
+        for kind in kinds
+    )
+)
+#: per level: (outer options, hop-limit clones, classify before cloning)
+_levels = st.lists(
+    st.tuples(_options, st.integers(0, 2), st.booleans()), min_size=1, max_size=4
+)
+
+
+def _build(message, dst, levels):
+    """Innermost packet plus 0-3 encapsulations, with clones at every
+    level; the memo is warmed before cloning on some levels only."""
+    built = []
+    packet = None
+    for options, clones, warm in levels:
+        if packet is None:
+            packet = Ipv6Packet(UNI, dst, message, dest_options=options)
+        else:
+            packet = packet.encapsulate(COA, HA, dest_options=options)
+        for _ in range(clones):
+            if warm:
+                classify_packet(packet)
+            packet = packet.with_decremented_hop_limit()
+        built.append(packet)
+    return built
+
+
+class TestPacketMemo:
+    def _check(self, packet):
+        inner = walk_inner(packet)
+        category, charges = walk_charges(packet)
+        assert packet.inner is inner
+        assert packet.innermost_message() is inner.payload
+        assert packet.is_tunneled == isinstance(packet.payload, Ipv6Packet)
+        assert packet.size_bytes == walk_size(packet)
+        assert packet.overhead_bytes == walk_size(packet) - walk_size(inner)
+        stats = LinkStats()
+        assert stats.account(packet) == category
+        assert dict(stats.bytes_by_category) == charges
+        assert dict(stats.packets_by_category) == {category: 1}
+        assert classify_packet(packet) == category
+        stats.account(packet)
+        assert dict(stats.bytes_by_category) == {k: 2 * v for k, v in charges.items()}
+
+    @given(_messages, st.sampled_from([DST, UNI]), _levels)
+    def test_memo_matches_walker(self, message, dst, levels):
+        for packet in _build(message, dst, levels):
+            self._check(packet)
+
+    @given(_messages, st.sampled_from([DST, UNI]), _levels)
+    def test_memo_survives_pickle(self, message, dst, levels):
+        packet = _build(message, dst, levels)[-1]
+        if len(levels) % 2:
+            classify_packet(packet)
+        copy = pickle.loads(pickle.dumps(packet))
+        self._check(copy)
+        assert copy.uid == packet.uid and copy.hop_limit == packet.hop_limit
+        self._check(copy.with_decremented_hop_limit())
